@@ -89,6 +89,7 @@ def main():
     baseline_path = os.path.join(repo, "scripts", "bench_baseline.json")
     scale = PRESET_SCALE[args.preset]
 
+    os.makedirs(args.out_dir, exist_ok=True)
     results = {}
     failures = []
     for fig, target in BENCHES.items():

@@ -13,23 +13,44 @@
 // eviction time as write-backs.
 //
 // This replay is the profiled hot path of every simulate_cache run (tens
-// of millions of line touches per forward pass), so the layout is built
-// for replay speed: each set keeps its ways contiguously in
-// most-recently-used-first order, which makes a hit a short prefix scan,
-// makes the LRU victim simply the back slot, and replaces per-way
-// LRU tick counters with a rotate of the prefix. Dirty flags are one
-// bitmask per set, rotated alongside. Line/set arithmetic is shift/mask
-// (line size and set count are powers of two), and the per-line step is
-// header-inline so replay loops pay no call overhead. The modeled
-// behavior — hits, misses, write-backs, DRAM bytes — is unchanged
-// relative to a tick-based LRU scan; only the host cost of computing it
-// is.
+// of millions of line touches per forward pass), so it is built for host
+// speed. The modeled behavior — hits, misses, write-backs, DRAM bytes —
+// is exactly that of a tick-based LRU scan; only the host cost differs.
+//
+// * Layout. Each set keeps its ways contiguously in most-recently-used-
+//   first order: the LRU victim is simply the back slot, and a recency
+//   update is a rotate of the slot prefix instead of per-way tick
+//   counters. Dirty flags are one bitmask per set, rotated alongside.
+//   Line/set arithmetic is shift/mask (line size and set count are
+//   powers of two), and the per-line step is header-inline so replay
+//   loops pay no call overhead.
+// * Vector probe. When the way count is a multiple of 16 (the modeled
+//   L2 is 16-way) and SSE2 is available, a lookup compares the tag
+//   against 16 ways at once (four `_mm_cmpeq_epi32`, packed to one
+//   `movemask`) and takes the first set bit as the hit slot. Valid tags
+//   are unique within a set, so at most one bit is set. Other way counts
+//   and non-SSE2 targets use the scalar prefix scan.
+// * Range closed form. An access() spanning more than num_sets * ways
+//   lines (the gather-buffer and psum slabs a matmul streams through)
+//   is replayed set by set; sets are independent, so this reorders no
+//   set's own touch sequence. In each set the first `ways` touches run
+//   exactly. The set then holds only lines of this stream, so every
+//   later touch is a miss that evicts the LRU slot: first the slots the
+//   exact phase left (back to front, with their dirty bits), then the
+//   stream's own lines (dirty iff the access writes). The set ends with
+//   the stream's last `ways` lines, MRU first. The cost per set is
+//   O(ways) however long the stream is.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstddef>
 #include <cstring>
 #include <vector>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace ts {
 
@@ -48,6 +69,8 @@ class CacheSim {
     if (bytes == 0) return 0;
     const uint64_t first = addr >> line_shift_;
     const uint64_t last = (addr + bytes - 1) >> line_shift_;
+    if (last - first >= num_sets_ * ways_)
+      return access_range(first, last, is_write);
     std::size_t line_misses = 0;
     for (uint64_t l = first; l <= last; ++l)
       line_misses += access_line(l, is_write);
@@ -101,22 +124,50 @@ class CacheSim {
       ++hits_;
       return 0;
     }
-    for (std::size_t p = 1; p < ways; ++p) {
-      if (tags[p] != tag) continue;
-      std::memmove(tags + 1, tags, p * sizeof(uint32_t));
-      tags[0] = tag;
-      const uint64_t low = dirty & ((uint64_t{1} << p) - 1);
-      const uint64_t hit_dirty = (dirty >> p) & 1;
-      dirty = (dirty & ~((uint64_t{2} << p) - 1)) | (low << 1) |
-              (hit_dirty | wbit);
-      ++hits_;
-      return 0;
+    const std::size_t p = find_way(tags, tag);
+    if (p == ways) return install_line(tags, dirty, tag, is_write);
+    std::memmove(tags + 1, tags, p * sizeof(uint32_t));
+    tags[0] = tag;
+    const uint64_t low = dirty & ((uint64_t{1} << p) - 1);
+    const uint64_t hit_dirty = (dirty >> p) & 1;
+    dirty = (dirty & ~((uint64_t{2} << p) - 1)) | (low << 1) |
+            (hit_dirty | wbit);
+    ++hits_;
+    return 0;
+  }
+
+  /// Slot of `tag` in the set starting at `tags` (slot 0 already checked
+  /// by the caller), or ways_ when absent.
+  std::size_t find_way(const uint32_t* tags, uint32_t tag) const {
+#if defined(__SSE2__)
+    if (ways_ % 16 == 0) {
+      const __m128i key = _mm_set1_epi32(static_cast<int>(tag));
+      for (std::size_t b = 0; b < ways_; b += 16) {
+        const auto* v = reinterpret_cast<const __m128i*>(tags + b);
+        const __m128i lo = _mm_packs_epi32(
+            _mm_cmpeq_epi32(_mm_loadu_si128(v), key),
+            _mm_cmpeq_epi32(_mm_loadu_si128(v + 1), key));
+        const __m128i hi = _mm_packs_epi32(
+            _mm_cmpeq_epi32(_mm_loadu_si128(v + 2), key),
+            _mm_cmpeq_epi32(_mm_loadu_si128(v + 3), key));
+        const auto mask = static_cast<unsigned>(
+            _mm_movemask_epi8(_mm_packs_epi16(lo, hi)));
+        if (mask != 0) return b + static_cast<std::size_t>(
+                                      std::countr_zero(mask));
+      }
+      return ways_;
     }
-    return install_line(tags, dirty, tag, is_write);
+#endif
+    for (std::size_t p = 1; p < ways_; ++p)
+      if (tags[p] == tag) return p;
+    return ways_;
   }
 
   std::size_t install_line(uint32_t* tags, uint64_t& dirty, uint32_t tag,
                            bool is_write);
+  /// Lines [first, last] when they outnumber the cache's lines: the
+  /// per-set closed form described in the header comment.
+  std::size_t access_range(uint64_t first, uint64_t last, bool is_write);
   [[noreturn]] void throw_tag_overflow(uint64_t line_addr) const;
 
   std::size_t line_bytes_;

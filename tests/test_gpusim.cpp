@@ -2,6 +2,13 @@
 // matmul utilization, device specs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "gpusim/cache.hpp"
 #include "gpusim/coalesce.hpp"
 #include "gpusim/cost_model.hpp"
@@ -70,6 +77,162 @@ TEST(CacheSim, ResetClearsState) {
   c.reset();
   EXPECT_EQ(c.hits() + c.read_misses() + c.write_misses(), 0u);
   EXPECT_EQ(c.dram_bytes(), 0.0);
+}
+
+// --- CacheSim against a plain tick-based LRU reference. ---
+
+/// The textbook model CacheSim must reproduce: per way a (line, dirty,
+/// last-use tick) record; a miss fills an invalid way if there is one,
+/// else evicts the smallest tick, writing it back when dirty. Same set
+/// count rule as CacheSim (power of two, rounded down).
+class RefLru {
+ public:
+  RefLru(std::size_t capacity, std::size_t ways, std::size_t line = 128)
+      : ways_(ways), line_(line) {
+    const std::size_t want = std::max<std::size_t>(1, capacity / (line * ways));
+    while (sets_ * 2 <= want) sets_ *= 2;
+    slots_.assign(sets_ * ways_, Way{});
+  }
+
+  std::size_t access(uint64_t addr, std::size_t bytes, bool is_write) {
+    if (bytes == 0) return 0;
+    std::size_t misses = 0;
+    for (uint64_t l = addr / line_; l <= (addr + bytes - 1) / line_; ++l)
+      misses += touch(l, is_write);
+    return misses;
+  }
+
+  std::size_t lines() const { return sets_ * ways_; }
+  std::size_t hits = 0, read_misses = 0, write_misses = 0, writebacks = 0;
+
+ private:
+  struct Way {
+    uint64_t line = 0;
+    bool valid = false;
+    bool dirty = false;
+    uint64_t tick = 0;
+  };
+
+  std::size_t touch(uint64_t l, bool is_write) {
+    Way* set = slots_.data() + (l % sets_) * ways_;
+    ++tick_;
+    for (std::size_t w = 0; w < ways_; ++w) {
+      if (set[w].valid && set[w].line == l) {
+        set[w].tick = tick_;
+        set[w].dirty = set[w].dirty || is_write;
+        ++hits;
+        return 0;
+      }
+    }
+    Way* victim = set;
+    for (std::size_t w = 0; w < ways_; ++w) {
+      if (!set[w].valid) {
+        victim = set + w;
+        break;
+      }
+      if (set[w].tick < victim->tick) victim = set + w;
+    }
+    if (victim->valid && victim->dirty) ++writebacks;
+    ++(is_write ? write_misses : read_misses);
+    *victim = Way{l, true, is_write, tick_};
+    return 1;
+  }
+
+  std::size_t ways_;
+  std::size_t line_;
+  std::size_t sets_ = 1;
+  std::vector<Way> slots_;
+  uint64_t tick_ = 0;
+};
+
+void expect_same_counters(const CacheSim& c, const RefLru& r) {
+  ASSERT_EQ(c.hits(), r.hits);
+  ASSERT_EQ(c.read_misses(), r.read_misses);
+  ASSERT_EQ(c.write_misses(), r.write_misses);
+  ASSERT_EQ(c.writebacks(), r.writebacks);
+}
+
+/// Seeded mix of single-line, multi-line and larger-than-capacity reads
+/// and writes over a window of ~4x the cache, checked after every call,
+/// then a flush whose write-backs expose any leftover set state.
+void run_differential(std::size_t capacity, int ways, uint64_t seed) {
+  SCOPED_TRACE("capacity " + std::to_string(capacity) + ", ways " +
+               std::to_string(ways) + ", seed " + std::to_string(seed));
+  constexpr std::size_t kLine = 128;
+  constexpr int kCalls = 2000;
+  CacheSim c(capacity, ways, kLine);
+  RefLru r(capacity, static_cast<std::size_t>(ways), kLine);
+  const std::size_t lines = r.lines();
+  const uint64_t window = 4 * lines + 64;  // in lines
+  // Keep the reference's work bounded at the megabyte capacities.
+  const double p_large = std::min(0.1, 4e5 / (kCalls * 2.0 * lines));
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int call = 0; call < kCalls; ++call) {
+    const uint64_t addr = rng() % (window * kLine);
+    const double kind = unit(rng);
+    std::size_t bytes;
+    if (kind < p_large) {  // around and above the whole cache
+      const std::size_t lo = lines > 2 ? lines - 2 : 1;
+      bytes = (lo + rng() % (2 * lines + 6)) * kLine - rng() % kLine;
+    } else if (kind < 0.3) {
+      bytes = 1 + rng() % (16 * kLine);
+    } else {
+      bytes = 1 + rng() % kLine;
+    }
+    const bool is_write = unit(rng) < 0.4;
+    ASSERT_EQ(c.access(addr, bytes, is_write), r.access(addr, bytes, is_write))
+        << "call " << call << ": addr " << addr << ", bytes " << bytes
+        << (is_write ? ", write" : ", read");
+    SCOPED_TRACE("after call " + std::to_string(call));
+    expect_same_counters(c, r);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // `lines` fresh consecutive lines fill every set once over.
+  const uint64_t flush = 16 * window * kLine;
+  ASSERT_EQ(c.access(flush, lines * kLine, false),
+            r.access(flush, lines * kLine, false));
+  expect_same_counters(c, r);
+  EXPECT_EQ(c.dram_bytes(),
+            static_cast<double>((r.read_misses + r.writebacks) * kLine));
+}
+
+TEST(CacheSim, MatchesTickLruReference) {
+  const std::size_t capacities[] = {128,     1024,    4096,   64 << 10,
+                                    1 << 20, 5767168};  // 5.5 MB: the L2
+  uint64_t seed = 1;
+  for (const int ways : {1, 2, 4, 8, 16, 64}) {
+    for (const std::size_t capacity : capacities) {
+      run_differential(capacity, ways, seed++);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(CacheSim, LongWriteStreamKeepsItsLastLines) {
+  CacheSim c(5767168);  // 2048 sets x 16 ways
+  const std::size_t lines = 2048 * 16;
+  EXPECT_EQ(c.access(0, 3 * lines * 128, true), 3 * lines);
+  EXPECT_EQ(c.write_misses(), 3 * lines);
+  EXPECT_EQ(c.writebacks(), 2 * lines);  // all but the last pass evicted
+  EXPECT_EQ(c.access(2 * lines * 128, lines * 128, false), 0u);
+  EXPECT_EQ(c.hits(), lines);
+  EXPECT_EQ(c.read_misses(), 0u);
+}
+
+TEST(CacheSim, TagOverflowThrowsOnLinesAndRanges) {
+  // 4 sets: stored tags (line >> 2) + 1 overflow 32 bits from line
+  // 2^34 - 4 on.
+  CacheSim c(1024, /*ways=*/2);
+  const uint64_t limit = ((uint64_t{1} << 34) - 4) * 128;
+  EXPECT_EQ(c.access(limit - 128, 128, false), 1u);  // highest valid line
+  EXPECT_THROW(c.access(limit, 1, false), std::runtime_error);
+  // A ranged access (> sets * ways lines) ending past the limit throws
+  // before touching any set.
+  const std::size_t before = c.hits() + c.read_misses() + c.write_misses();
+  EXPECT_THROW(c.access(limit - 64 * 128, 128 * 128, true),
+               std::runtime_error);
+  EXPECT_EQ(c.hits() + c.read_misses() + c.write_misses(), before);
 }
 
 // --- Transaction coalescing (paper Fig. 8). ---
