@@ -24,12 +24,12 @@
 //   Line/set arithmetic is shift/mask (line size and set count are
 //   powers of two), and the per-line step is header-inline so replay
 //   loops pay no call overhead.
-// * Vector probe. When the way count is a multiple of 16 (the modeled
-//   L2 is 16-way) and SSE2 is available, a lookup compares the tag
-//   against 16 ways at once (four `_mm_cmpeq_epi32`, packed to one
-//   `movemask`) and takes the first set bit as the hit slot. Valid tags
-//   are unique within a set, so at most one bit is set. Other way counts
-//   and non-SSE2 targets use the scalar prefix scan.
+// * Vector probe. For the modeled 16-way L2 on SSE2 targets, a lookup
+//   compares the tag against all 16 ways at once (four
+//   `_mm_cmpeq_epi32`, packed to one `movemask`) and takes the first set
+//   bit as the hit slot. Valid tags are unique within a set, so at most
+//   one bit is set. Other way counts and non-SSE2 targets use the scalar
+//   prefix scan.
 // * Range closed form. An access() spanning more than num_sets * ways
 //   lines (the gather-buffer and psum slabs a matmul streams through)
 //   is replayed set by set; sets are independent, so this reorders no
@@ -140,22 +140,19 @@ class CacheSim {
   /// by the caller), or ways_ when absent.
   std::size_t find_way(const uint32_t* tags, uint32_t tag) const {
 #if defined(__SSE2__)
-    if (ways_ % 16 == 0) {
+    if (ways_ == 16) {
       const __m128i key = _mm_set1_epi32(static_cast<int>(tag));
-      for (std::size_t b = 0; b < ways_; b += 16) {
-        const auto* v = reinterpret_cast<const __m128i*>(tags + b);
-        const __m128i lo = _mm_packs_epi32(
-            _mm_cmpeq_epi32(_mm_loadu_si128(v), key),
-            _mm_cmpeq_epi32(_mm_loadu_si128(v + 1), key));
-        const __m128i hi = _mm_packs_epi32(
-            _mm_cmpeq_epi32(_mm_loadu_si128(v + 2), key),
-            _mm_cmpeq_epi32(_mm_loadu_si128(v + 3), key));
-        const auto mask = static_cast<unsigned>(
-            _mm_movemask_epi8(_mm_packs_epi16(lo, hi)));
-        if (mask != 0) return b + static_cast<std::size_t>(
-                                      std::countr_zero(mask));
-      }
-      return ways_;
+      const auto* v = reinterpret_cast<const __m128i*>(tags);
+      const __m128i lo = _mm_packs_epi32(
+          _mm_cmpeq_epi32(_mm_loadu_si128(v), key),
+          _mm_cmpeq_epi32(_mm_loadu_si128(v + 1), key));
+      const __m128i hi = _mm_packs_epi32(
+          _mm_cmpeq_epi32(_mm_loadu_si128(v + 2), key),
+          _mm_cmpeq_epi32(_mm_loadu_si128(v + 3), key));
+      const auto mask = static_cast<unsigned>(
+          _mm_movemask_epi8(_mm_packs_epi16(lo, hi)));
+      return mask != 0 ? static_cast<std::size_t>(std::countr_zero(mask))
+                       : ways_;
     }
 #endif
     for (std::size_t p = 1; p < ways_; ++p)
